@@ -25,7 +25,7 @@ check:
 	$(GO) test -race ./internal/serve/
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race ./internal/approx/
-	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming' ./internal/core/
+	$(GO) test -race -run 'TestReadLotusGraph|TestLotusGraphRoundTrip|TestStreaming|TestPreprocessMatchesOracle' ./internal/core/
 	$(GO) test -race -run 'TestShardEquivalence' ./internal/shard/
 	# Auto-tuner surface: the probe's parallel reductions, the policy,
 	# and the cover-edge kernel's parallel sweep all race-tested in
@@ -54,8 +54,8 @@ bench:
 # (lotus-sharded/p=*), the streaming-ingest throughput rows
 # (stream-ingest/exact vs approx), the serve-cache residency rows
 # (serve-cache/raw vs compressed) and the new auto-vs-fixed tuner
-# sweep (tune/auto vs tune/lotus, tune/cover-edge,
-# tune/degree-partition, best-of-3 per row) measure real work.
+# sweep (tune/auto vs tune/lotus and tune/cover-edge, best-of-3 per
+# row) measure real work.
 bench-report:
 	$(GO) run ./cmd/lotus-bench -report json -scale 15 -o BENCH_PR10.json
 

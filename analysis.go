@@ -19,7 +19,7 @@ import (
 func PerVertexTriangles(g *Graph, workers int) []uint64 {
 	pool := sched.NewPool(workers)
 	ra := reorder.DegreeOrder(g)
-	og := g.Relabel(ra).Orient()
+	og := g.Relabel(ra, pool).Orient()
 	n := og.NumVertices()
 	counts := make([]uint64, n)
 	pool.For(n, 0, func(_, start, end int) {

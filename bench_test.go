@@ -263,7 +263,7 @@ func BenchmarkAblationRelabel(b *testing.B) {
 	})
 	b.Run("FullDegreeOrder", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gd := g.Relabel(reorder.DegreeOrder(g))
+			gd := g.Relabel(reorder.DegreeOrder(g), pool)
 			lg := core.Preprocess(gd, core.Options{Pool: pool})
 			benchSink += lg.Count(pool).Total
 		}
@@ -328,25 +328,6 @@ func BenchmarkIntersectDispatch(b *testing.B) {
 			b.ReportMetric(nnn/float64(b.N)*1e3, "nnn-ms/op")
 		})
 	}
-}
-
-// BenchmarkAblationPreprocess compares the two Algorithm 2
-// implementations (materialize+split vs literal per-edge).
-func BenchmarkAblationPreprocess(b *testing.B) {
-	g := benchGraph()
-	pool := sched.NewPool(0)
-	b.Run("Materialize", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lg := core.PreprocessMaterialize(g, core.Options{Pool: pool})
-			benchSink += uint64(lg.HE.NumEdges())
-		}
-	})
-	b.Run("DirectAlg2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lg := core.PreprocessDirect(g, core.Options{Pool: pool})
-			benchSink += uint64(lg.HE.NumEdges())
-		}
-	})
 }
 
 // BenchmarkExtensionKClique measures k-clique counting, generic vs

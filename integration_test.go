@@ -133,7 +133,7 @@ func TestRelabelOrientationInvariance(t *testing.T) {
 		for i, p := range perm {
 			ra[i] = uint32(p)
 		}
-		rg := g.Relabel(ra)
+		rg := g.Relabel(ra, nil)
 		got, _ := Count(rg, Options{})
 		return got.Triangles == want.Triangles
 	}

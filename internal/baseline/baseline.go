@@ -60,10 +60,19 @@ func (k Kernel) String() string {
 }
 
 // prepareForward applies degree ordering and orientation, the
-// preprocessing every Forward-family baseline performs.
-func prepareForward(g *graph.Graph) *graph.Graph {
+// preprocessing every Forward-family baseline performs. It checks the
+// pool for cancellation between stages and returns nil once it is
+// cancelled, so a cancelled count stops before the next stage.
+func prepareForward(g *graph.Graph, pool *sched.Pool) *graph.Graph {
 	ra := reorder.DegreeOrder(g)
-	return g.Relabel(ra).Orient()
+	if pool.Cancelled() {
+		return nil
+	}
+	rg := g.Relabel(ra, pool)
+	if pool.Cancelled() {
+		return nil
+	}
+	return rg.Orient()
 }
 
 // Forward counts triangles with Algorithm 1: degree ordering, then
@@ -80,7 +89,10 @@ func Forward(g *graph.Graph, pool *sched.Pool, kernel Kernel) uint64 {
 // hot loop.
 func ForwardWithMetrics(g *graph.Graph, pool *sched.Pool, kernel Kernel, m *obs.Metrics) uint64 {
 	t0 := time.Now()
-	og := prepareForward(g)
+	og := prepareForward(g, pool)
+	if og == nil {
+		return 0
+	}
 	m.AddDuration("baseline.preprocess.ns", time.Since(t0))
 	m.Set("baseline.oriented_edges", g.NumEdges())
 	return CountOrientedWithMetrics(og, pool, kernel, m)
@@ -149,7 +161,7 @@ func CountOrientedWithMetrics(og *graph.Graph, pool *sched.Pool, kernel Kernel, 
 // intersection sizes at the cost of a sequential peeling pass.
 func ForwardDegeneracy(g *graph.Graph, pool *sched.Pool, kernel Kernel) uint64 {
 	ra, _ := reorder.DegeneracyOrder(g)
-	og := g.Relabel(ra).Orient()
+	og := g.Relabel(ra, pool).Orient()
 	return CountOriented(og, pool, kernel)
 }
 
@@ -214,7 +226,10 @@ func EdgeIterator(g *graph.Graph, pool *sched.Pool) uint64 {
 // oriented edges (flattened), so a single huge vertex cannot
 // serialize a worker. Includes degree-ordering preprocessing.
 func GBBS(g *graph.Graph, pool *sched.Pool) uint64 {
-	og := prepareForward(g)
+	og := prepareForward(g, pool)
+	if og == nil {
+		return 0
+	}
 	offsets := og.Offsets()
 	nbrs := og.RawNeighbors()
 	m := len(nbrs)
@@ -261,7 +276,10 @@ func BBTC(g *graph.Graph, pool *sched.Pool, blocks int) uint64 {
 	if blocks < 1 {
 		blocks = 2 * pool.Workers()
 	}
-	og := prepareForward(g)
+	og := prepareForward(g, pool)
+	if og == nil {
+		return 0
+	}
 	n := og.NumVertices()
 	if n == 0 {
 		return 0

@@ -3,6 +3,7 @@ package bitarray
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -319,4 +320,28 @@ func BenchmarkTriAndCount(b *testing.B) {
 		sink += tri.Row(uint32(1 + i%(n-1))).AndCount(bm)
 	}
 	_ = sink
+}
+
+// A row slice starting at row 0 has Tri's packing, so AsTri must
+// hand back the same words a Tri built by the same Sets holds.
+func TestTriRowsAsTriMatchesTri(t *testing.T) {
+	for _, n := range []uint32{0, 1, 2, 65, 130} {
+		full, rows := NewTri(n), NewTriRows(0, n)
+		for h1 := uint32(1); h1 < n; h1++ {
+			for h2 := uint32(0); h2 < h1; h2 += 1 + h1%3 {
+				full.Set(h1, h2)
+				rows.Set(h1, h2)
+			}
+		}
+		got := rows.AsTri()
+		if got.N() != n || !slices.Equal(got.Words(), full.Words()) {
+			t.Fatalf("n=%d: AsTri differs from Tri", n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AsTri accepted a slice not starting at row 0")
+		}
+	}()
+	NewTriRows(3, 9).AsTri()
 }

@@ -87,6 +87,16 @@ func (t *TriRows) Row(h1 uint32) RowProbe {
 	return RowProbe{words: t.words, base: rowBase(h1) - rowBase(t.lo), h1: h1}
 }
 
+// AsTri returns a slice holding rows [0, hi) as the full triangular
+// array over hi hubs. With lo = 0 the rebased packing is exactly
+// Tri's, so the words are shared, not copied. It panics if lo != 0.
+func (t *TriRows) AsTri() *Tri {
+	if t.lo != 0 {
+		panic("bitarray: AsTri on a row slice that does not start at row 0")
+	}
+	return &Tri{n: t.hi, words: t.words}
+}
+
 // PopCount returns the number of set bits (this slice's hub-to-hub
 // edges). The final backing word may carry no row bits, but unset
 // padding is always zero.

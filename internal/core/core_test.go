@@ -3,13 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"lotustc/internal/baseline"
 	"lotustc/internal/gen"
 	"lotustc/internal/graph"
+	"lotustc/internal/reorder"
 	"lotustc/internal/sched"
 )
 
@@ -352,7 +353,11 @@ func TestTopologyBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestPreprocessDirectBitIdentical(t *testing.T) {
+// TestPreprocessMatchesOracle checks the LOTUS preprocessor against a
+// short sequential reading of Algorithm 2: relabel the whole graph,
+// keep each row's entries below v, and split them at the hub count.
+// HE, NHE and every H2H bit must match.
+func TestPreprocessMatchesOracle(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat":      gen.RMAT(gen.DefaultRMAT(10, 8, 1)),
 		"er":        gen.ErdosRenyi(800, 3000, 2),
@@ -364,41 +369,61 @@ func TestPreprocessDirectBitIdentical(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, hubs := range []int{1, 4, 37} {
-			a := PreprocessMaterialize(g, Options{HubCount: hubs, Pool: pool})
-			b := PreprocessDirect(g, Options{HubCount: hubs, Pool: pool})
-			if a.HubCount != b.HubCount {
-				t.Fatalf("%s hubs=%d: hub counts differ", name, hubs)
+			opt := Options{HubCount: hubs, Pool: pool}
+			lg, err := TryPreprocess(g, opt)
+			if err != nil {
+				t.Fatalf("%s hubs=%d: %v", name, hubs, err)
 			}
-			if !reflect.DeepEqual(a.HE.Offsets(), b.HE.Offsets()) ||
-				!reflect.DeepEqual(a.HE.Raw(), b.HE.Raw()) {
+			n := g.NumVertices()
+			hc := uint32(opt.EffectiveHubCount(n))
+			ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: int(hc)})
+			if lg.HubCount != hc || lg.H2H.N() != hc || !slices.Equal(lg.Relabeling, ra) {
+				t.Fatalf("%s hubs=%d: hub count or relabeling differs", name, hubs)
+			}
+
+			rg := g.Relabel(ra, nil)
+			heOff, nheOff := []int64{0}, []int64{0}
+			var heRaw []uint16
+			var nheRaw []uint32
+			h2h := make(map[[2]uint32]bool)
+			for v := uint32(0); v < uint32(n); v++ {
+				for _, u := range rg.Neighbors(v) {
+					switch {
+					case u >= v:
+					case u < hc:
+						heRaw = append(heRaw, uint16(u))
+						if v < hc {
+							h2h[[2]uint32{v, u}] = true
+						}
+					default:
+						nheRaw = append(nheRaw, u)
+					}
+				}
+				heOff = append(heOff, int64(len(heRaw)))
+				nheOff = append(nheOff, int64(len(nheRaw)))
+			}
+
+			if !slices.Equal(lg.HE.Offsets(), heOff) || !slices.Equal(lg.HE.Raw(), heRaw) {
 				t.Fatalf("%s hubs=%d: HE differs", name, hubs)
 			}
-			if !reflect.DeepEqual(a.NHE.Offsets(), b.NHE.Offsets()) ||
-				!reflect.DeepEqual(a.NHE.Raw(), b.NHE.Raw()) {
+			if !slices.Equal(lg.NHE.Offsets(), nheOff) || !slices.Equal(lg.NHE.Raw(), nheRaw) {
 				t.Fatalf("%s hubs=%d: NHE differs", name, hubs)
 			}
-			if a.H2H.PopCount() != b.H2H.PopCount() {
-				t.Fatalf("%s hubs=%d: H2H differs", name, hubs)
+			for h1 := uint32(0); h1 < hc; h1++ {
+				for h2 := uint32(0); h2 < h1; h2++ {
+					if lg.H2H.IsSet(h1, h2) != h2h[[2]uint32{h1, h2}] {
+						t.Fatalf("%s hubs=%d: H2H bit (%d,%d) differs", name, hubs, h1, h2)
+					}
+				}
 			}
-			if err := b.Validate(); err != nil {
-				t.Fatalf("%s hubs=%d: direct validate: %v", name, hubs, err)
+			if got := lg.H2H.PopCount(); got != uint64(len(h2h)) {
+				t.Fatalf("%s hubs=%d: H2H holds %d bits, want %d", name, hubs, got, len(h2h))
 			}
-			ra := a.Count(pool)
-			rb := b.Count(pool)
-			if ra.Total != rb.Total {
-				t.Fatalf("%s hubs=%d: counts differ %d vs %d", name, hubs, ra.Total, rb.Total)
+			if err := lg.Validate(); err != nil {
+				t.Fatalf("%s hubs=%d: %v", name, hubs, err)
 			}
 		}
 	}
-}
-
-func TestPreprocessDirectRejectsOriented(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on oriented input")
-		}
-	}()
-	PreprocessDirect(gen.Complete(4).Orient(), Options{HubCount: 2})
 }
 
 func TestPreprocessRejectsOriented(t *testing.T) {

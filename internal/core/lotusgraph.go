@@ -10,7 +10,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"lotustc/internal/bitarray"
@@ -153,7 +152,7 @@ var ErrOriented = errors.New("core: preprocessing requires a symmetric graph, go
 var ErrNilGraph = errors.New("core: nil graph")
 
 // checkPreprocessInput validates the preprocessing input contract
-// shared by both implementations.
+// shared by the flat and range builders.
 func checkPreprocessInput(g *graph.Graph) error {
 	if g == nil {
 		return ErrNilGraph
@@ -175,16 +174,41 @@ func mustLotusGraph(lg *LotusGraph, err error) *LotusGraph {
 
 // TryPreprocess builds the LotusGraph from a symmetric simple graph,
 // implementing Algorithm 2: relabel, split each vertex's N^< into hub
-// and non-hub neighbours, and populate the H2H bit array. It uses the
-// literal per-edge implementation (TryPreprocessDirect), which
-// measures ~2x faster than materializing the relabeled graph first;
-// the alternative remains available as TryPreprocessMaterialize and
-// the ablation-preprocess experiment compares them.
+// and non-hub neighbours, and populate the H2H bit array. The flat
+// structure is the 1×1 grid of the sharded path: it computes the
+// LOTUS relabeling once and runs the range builder
+// (TryPreprocessRange) over [0, n), so flat and sharded rows come
+// from one builder. The range's H2H slice starts at row 0, where its
+// packing is exactly Tri's, and is handed over without a copy.
+// PreprocessTime covers the relabeling as well as the build.
 //
 // Invalid inputs (nil or oriented graphs) are rejected with an error;
 // the serving path depends on this never panicking.
 func TryPreprocess(g *graph.Graph, opt Options) (*LotusGraph, error) {
-	return TryPreprocessDirect(g, opt)
+	if err := checkPreprocessInput(g); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	if opt.Pool == nil {
+		opt.Pool = sched.NewPool(0)
+	}
+	n := g.NumVertices()
+	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: opt.EffectiveHubCount(n), FrontFraction: opt.FrontFraction})
+	s, err := TryPreprocessRange(g, opt, ra, VertexRange{Lo: 0, Hi: uint32(n)})
+	if err != nil {
+		return nil, err
+	}
+	lg := &LotusGraph{
+		HubCount:       s.HubCount,
+		H2H:            s.H2H.AsTri(),
+		HE:             s.HE,
+		NHE:            s.NHE,
+		Relabeling:     ra,
+		PreprocessTime: time.Since(t0),
+		numVertices:    n,
+	}
+	lg.recordPreprocessMetrics(opt.Metrics)
+	return lg, nil
 }
 
 // Preprocess is the thin panicking wrapper over TryPreprocess, kept
@@ -194,91 +218,8 @@ func Preprocess(g *graph.Graph, opt Options) *LotusGraph {
 	return mustLotusGraph(TryPreprocess(g, opt))
 }
 
-// TryPreprocessMaterialize builds the LotusGraph by first
-// materializing the fully relabeled graph (sorted rows), then
-// splitting each row into its HE/NHE parts with two binary searches.
-// Kept as the comparison point for the preprocessing ablation;
-// produces bit-identical structures to TryPreprocessDirect.
-func TryPreprocessMaterialize(g *graph.Graph, opt Options) (*LotusGraph, error) {
-	if err := checkPreprocessInput(g); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	pool := opt.Pool
-	if pool == nil {
-		pool = sched.NewPool(0)
-	}
-	n := g.NumVertices()
-	hubCount := opt.EffectiveHubCount(n)
-
-	ra := reorder.Lotus(g, reorder.LotusOptions{HubCount: hubCount, FrontFraction: opt.FrontFraction})
-	rg := g.Relabel(ra)
-
-	heOff := make([]int64, n+1)
-	nheOff := make([]int64, n+1)
-	// Neighbour lists are sorted, so within N^<_v the hub neighbours
-	// (IDs < hubCount) form a prefix: two binary searches per vertex
-	// give the split points.
-	pool.For(n, 0, func(_, start, end int) {
-		for v := start; v < end; v++ {
-			nb := rg.Neighbors(uint32(v))
-			below := sort.Search(len(nb), func(i int) bool { return nb[i] >= uint32(v) })
-			limit := uint32(hubCount)
-			if uint32(v) < limit {
-				limit = uint32(v)
-			}
-			hubs := sort.Search(below, func(i int) bool { return nb[i] >= limit })
-			heOff[v+1] = int64(hubs)
-			nheOff[v+1] = int64(below - hubs)
-		}
-	})
-	for v := 0; v < n; v++ {
-		heOff[v+1] += heOff[v]
-		nheOff[v+1] += nheOff[v]
-	}
-	he := &HE16{offsets: heOff, nbrs: make([]uint16, heOff[n])}
-	nhe := &NHE32{offsets: nheOff, nbrs: make([]uint32, nheOff[n])}
-	h2h := bitarray.NewTri(uint32(hubCount))
-	pool.For(n, 0, func(_, start, end int) {
-		for v := start; v < end; v++ {
-			nb := rg.Neighbors(uint32(v))
-			hd := he.offsets[v+1] - he.offsets[v]
-			for i := int64(0); i < hd; i++ {
-				u := nb[i]
-				he.nbrs[he.offsets[v]+i] = uint16(u)
-				if uint32(v) < uint32(hubCount) {
-					// hub-to-hub edge: also record in H2H (Alg 2 l.19)
-					h2h.Set(uint32(v), u)
-				}
-			}
-			nd := nhe.offsets[v+1] - nhe.offsets[v]
-			for i := int64(0); i < nd; i++ {
-				nhe.nbrs[nhe.offsets[v]+i] = nb[hd+i]
-			}
-		}
-	})
-
-	lg := &LotusGraph{
-		HubCount:       uint32(hubCount),
-		H2H:            h2h,
-		HE:             he,
-		NHE:            nhe,
-		Relabeling:     ra,
-		PreprocessTime: time.Since(t0),
-		numVertices:    n,
-	}
-	lg.recordPreprocessMetrics(opt.Metrics)
-	return lg, nil
-}
-
-// PreprocessMaterialize is the thin panicking wrapper over
-// TryPreprocessMaterialize.
-func PreprocessMaterialize(g *graph.Graph, opt Options) *LotusGraph {
-	return mustLotusGraph(TryPreprocessMaterialize(g, opt))
-}
-
 // recordPreprocessMetrics publishes the structure-size counters after
-// preprocessing; nil-safe, called by both preprocessing variants.
+// preprocessing; nil-safe.
 func (lg *LotusGraph) recordPreprocessMetrics(m *obs.Metrics) {
 	if m == nil {
 		return

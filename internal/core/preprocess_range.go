@@ -84,8 +84,9 @@ func (s *LotusShard) TopologyBytes() int64 {
 // once and sharing it across a grid's shards). It is Algorithm 2 with
 // the row writes filtered to vNew in [r.Lo, r.Hi): the same two-pass
 // walk over the original vertices, the same hub/non-hub split, the
-// same per-row sort, so each shard row is byte-identical to the
-// corresponding monolithic row.
+// same per-row sort. TryPreprocess runs it over [0, n) for the flat
+// structure, so each shard row is byte-identical to the
+// corresponding flat row.
 func TryPreprocessRange(g *graph.Graph, opt Options, ra []uint32, r VertexRange) (*LotusShard, error) {
 	if err := checkPreprocessInput(g); err != nil {
 		return nil, err

@@ -26,7 +26,6 @@ func init() {
 	MustRegister("lotus-recursive", lotus, lotusRecursiveKernel)
 	MustRegister("lotus-sharded", sharded, lotusShardedKernel)
 	MustRegister("cover-edge", lotus, coverEdgeKernel)
-	MustRegister("degree-partition", sharded, degreePartitionKernel)
 	MustRegister("auto", lotus, autoKernel)
 	MustRegister("forward", parallel, forwardKernel(baseline.KernelMerge))
 	MustRegister("forward-binary", parallel, forwardKernel(baseline.KernelBinary))

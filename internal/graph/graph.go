@@ -15,6 +15,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"lotustc/internal/sched"
 )
 
 // Graph is an adjacency structure in CSX format. The neighbour list of
@@ -209,13 +211,21 @@ func countBelow(nb []uint32, limit uint32) int {
 // with re-sorted neighbour lists. Orientation is not preserved: the
 // result is symmetric iff the input was, but an oriented input would
 // lose its ordering property, so Relabel requires a symmetric input.
-func (g *Graph) Relabel(ra []uint32) *Graph {
+//
+// The fill-and-sort pass, which dominates, runs on pool (nil selects
+// a GOMAXPROCS pool). Once a bound pool is cancelled its workers stop
+// claiming rows, so the call returns promptly with an unspecified
+// graph that the caller must discard.
+func (g *Graph) Relabel(ra []uint32, pool *sched.Pool) *Graph {
 	if g.Oriented {
 		panic("graph: Relabel requires a symmetric graph")
 	}
 	n := g.NumVertices()
 	if len(ra) != n {
 		panic("graph: relabeling array length mismatch")
+	}
+	if pool == nil {
+		pool = sched.NewPool(0)
 	}
 	offsets := make([]int64, n+1)
 	for old := 0; old < n; old++ {
@@ -225,14 +235,16 @@ func (g *Graph) Relabel(ra []uint32) *Graph {
 		offsets[v+1] += offsets[v]
 	}
 	nbrs := make([]uint32, offsets[n])
-	for old := 0; old < n; old++ {
-		newV := ra[old]
-		dst := nbrs[offsets[newV]:offsets[newV+1]]
-		for i, u := range g.Neighbors(uint32(old)) {
-			dst[i] = ra[u]
+	pool.For(n, 0, func(_, start, end int) {
+		for old := start; old < end; old++ {
+			newV := ra[old]
+			dst := nbrs[offsets[newV]:offsets[newV+1]]
+			for i, u := range g.Neighbors(uint32(old)) {
+				dst[i] = ra[u]
+			}
+			sortUint32(dst)
 		}
-		sortUint32(dst)
-	}
+	})
 	return &Graph{offsets: offsets, nbrs: nbrs}
 }
 

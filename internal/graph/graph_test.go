@@ -108,7 +108,7 @@ func TestRelabelIdentityAndReverse(t *testing.T) {
 	for i := range id {
 		id[i] = uint32(i)
 	}
-	rg := g.Relabel(id)
+	rg := g.Relabel(id, nil)
 	if !reflect.DeepEqual(rg.Offsets(), g.Offsets()) || !reflect.DeepEqual(rg.RawNeighbors(), g.RawNeighbors()) {
 		t.Fatal("identity relabel changed the graph")
 	}
@@ -116,7 +116,7 @@ func TestRelabelIdentityAndReverse(t *testing.T) {
 	for i := range rev {
 		rev[i] = uint32(n - 1 - i)
 	}
-	gr := g.Relabel(rev)
+	gr := g.Relabel(rev, nil)
 	if err := gr.Validate(); err != nil {
 		t.Fatalf("Validate after reverse relabel: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestRelabelPreservesDegreeMultiset(t *testing.T) {
 		for i, p := range perm {
 			ra[i] = uint32(p)
 		}
-		rg := g.Relabel(ra)
+		rg := g.Relabel(ra, nil)
 		want := append([]int32(nil), g.Degrees()...)
 		got := append([]int32(nil), rg.Degrees()...)
 		sortInt32(want)

@@ -144,7 +144,7 @@ func RunAblationRelabel(w io.Writer, s Suite, workers int) {
 		// graph: the front block is already ordered, so the combined
 		// permutation equals full degree ordering.
 		t0 := time.Now()
-		gd := g.Relabel(reorder.DegreeOrder(g))
+		gd := g.Relabel(reorder.DegreeOrder(g), pool)
 		lgd := core.Preprocess(gd, core.Options{Pool: pool})
 		pre2 := time.Since(t0)
 		r2 := lgd.Count(pool)
@@ -219,31 +219,6 @@ func RunBaselinesClassic(w io.Writer, s Suite, workers int) {
 			fmt.Fprintf(w, " COUNT MISMATCH")
 		}
 		fmt.Fprintln(w)
-	}
-}
-
-// RunAblationPreprocess compares the two Algorithm 2 implementations:
-// Preprocess (relabel the whole graph once, then split rows with
-// binary searches) vs PreprocessDirect (per-edge on-the-fly
-// relabeling, literal Alg 2). Fig 6's preprocessing-share claim
-// depends on this constant factor.
-func RunAblationPreprocess(w io.Writer, s Suite, workers int) {
-	pool := s.NewPool(workers)
-	fmt.Fprintln(w, "=== Ablation: Preprocess (materialize+split) vs PreprocessDirect (literal Alg 2) ===")
-	fmt.Fprintf(w, "%-12s %16s %16s %10s\n", "dataset", "materialize(s)", "direct(s)", "ratio")
-	for _, d := range s.Datasets() {
-		g := d.Build()
-		lg1 := core.PreprocessMaterialize(g, core.Options{Pool: pool})
-		lg2 := core.PreprocessDirect(g, core.Options{Pool: pool})
-		c1 := lg1.Count(pool)
-		c2 := lg2.Count(pool)
-		if c1.Total != c2.Total {
-			fmt.Fprintf(w, "%-12s COUNT MISMATCH\n", d.Name)
-			continue
-		}
-		t1 := lg1.PreprocessTime.Seconds()
-		t2 := lg2.PreprocessTime.Seconds()
-		fmt.Fprintf(w, "%-12s %16.3f %16.3f %10.2f\n", d.Name, t1, t2, t2/t1)
 	}
 }
 

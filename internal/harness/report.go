@@ -51,7 +51,7 @@ var benchShardVariants = []struct {
 // artifact reflect the routing choice, not timer noise; the auto row
 // carries the tuner's Decision block (routed algorithm, policy
 // reason, probe stats).
-var benchTunerAlgorithms = []string{"lotus", "cover-edge", "degree-partition", "auto"}
+var benchTunerAlgorithms = []string{"lotus", "cover-edge", "auto"}
 
 const tunerBestOf = 3
 

@@ -49,8 +49,6 @@ func Experiments() []Experiment {
 			func(w io.Writer, s Suite, workers int) { RunAblationFused(w, s, workers) }},
 		{"ablation-phase1", "Ablation: phase-1 kernel, scalar probes vs word-parallel bitmap",
 			func(w io.Writer, s Suite, workers int) { RunAblationPhase1(w, s, workers) }},
-		{"ablation-preprocess", "Ablation: materialize+split vs literal Alg 2 preprocessing",
-			func(w io.Writer, s Suite, workers int) { RunAblationPreprocess(w, s, workers) }},
 		{"baselines-classic", "Classic §6.1 algorithms (Latapy, node-iterator-core, AYZ)",
 			func(w io.Writer, s Suite, workers int) { RunBaselinesClassic(w, s, workers) }},
 		{"ext-recursive", "Extension: recursive NHE splitting",

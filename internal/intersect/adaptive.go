@@ -18,31 +18,12 @@ package intersect
 // keeps the dispatch test to one shift and one compare.
 const GallopRatio = 16
 
-// UseGalloping reports whether the adaptive dispatcher would pick the
-// galloping kernel for lists of the given lengths. It is exported so
-// hot loops that need per-kernel dispatch counters can branch on the
-// same predicate the Adaptive kernels use without calling through
-// them.
+// UseGalloping reports whether the adaptive dispatcher picks the
+// galloping kernel for lists of the given lengths. Hot loops branch
+// on it inline, so they can keep per-kernel dispatch counters.
 func UseGalloping(la, lb int) bool {
 	if la > lb {
 		la, lb = lb, la
 	}
 	return la > 0 && lb >= la*GallopRatio
-}
-
-// Adaptive counts |a ∩ b| with the size-ratio dispatch: galloping
-// search when one list dwarfs the other, merge join otherwise.
-func Adaptive(a, b []uint32) uint64 {
-	if UseGalloping(len(a), len(b)) {
-		return Galloping(a, b)
-	}
-	return Merge(a, b)
-}
-
-// Adaptive16 is Adaptive for the 16-bit hub IDs of HE rows.
-func Adaptive16(a, b []uint16) uint64 {
-	if UseGalloping(len(a), len(b)) {
-		return Galloping16(a, b)
-	}
-	return Merge16(a, b)
 }

@@ -48,43 +48,8 @@ func Merge16(a, b []uint16) uint64 {
 	return n
 }
 
-// Merge16Branchless is MergeBranchless for 16-bit hub IDs: the same
-// arithmetic cursor advance, with both loads widened once so the hot
-// loop compares registers.
-func Merge16Branchless(a, b []uint16) uint64 {
-	var n uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		n += uint64(btoi(x == y))
-		i += btoi(x <= y)
-		j += btoi(y <= x)
-	}
-	return n
-}
-
-// MergeBranchless counts |a ∩ b| with a comparison-driven merge whose
-// cursor advances are computed arithmetically instead of via
-// conditional branches, trading a few extra ALU ops for the removal
-// of the two unpredictable branches per step — the mitigation [32]
-// pursues with radix binning, in its simplest form. Fig 5c's
-// branch-misprediction comparison motivates having it available.
-func MergeBranchless(a, b []uint32) uint64 {
-	var n uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		eq := btoi(x == y)
-		n += uint64(eq)
-		// Advance a when x <= y, b when y <= x; both on equality.
-		i += btoi(x <= y)
-		j += btoi(y <= x)
-	}
-	return n
-}
-
 // btoi converts a bool to 0/1; the compiler lowers this to SETcc,
-// keeping the merge loop free of data-dependent jumps.
+// keeping the search loops free of data-dependent jumps.
 func btoi(b bool) int {
 	if b {
 		return 1
@@ -343,21 +308,6 @@ func (b *Bitmap) Reset() {
 		b.words[w] = 0
 	}
 	b.dirty = b.dirty[:0]
-}
-
-// BitmapCount counts |a ∩ b| by marking a and probing with b.
-func BitmapCount(bm *Bitmap, a, b []uint32) uint64 {
-	bm.Reset()
-	for _, x := range a {
-		bm.Set(x)
-	}
-	var n uint64
-	for _, x := range b {
-		if bm.Get(x) {
-			n++
-		}
-	}
-	return n
 }
 
 // MergeTraced is Merge with an access callback: onAccess(x, fromA) is

@@ -50,7 +50,6 @@ func TestKernelsAgreeFixed(t *testing.T) {
 		{{1, 100, 1000}, {1000}},
 	}
 	h := NewHashSet(16)
-	bm := NewBitmap(2048)
 	for _, c := range cases {
 		a, b := c[0], c[1]
 		want := refCount(a, b)
@@ -66,9 +65,6 @@ func TestKernelsAgreeFixed(t *testing.T) {
 		if got := Hash(h, a, b); got != want {
 			t.Errorf("Hash(%v,%v) = %d, want %d", a, b, got, want)
 		}
-		if got := BitmapCount(bm, a, b); got != want {
-			t.Errorf("Bitmap(%v,%v) = %d, want %d", a, b, got, want)
-		}
 	}
 }
 
@@ -78,11 +74,8 @@ func TestKernelsAgreeProperty(t *testing.T) {
 		b := sortedUnique(rb, 512)
 		want := refCount(a, b)
 		h := NewHashSet(len(a) + 1)
-		bm := NewBitmap(512)
 		if Merge(a, b) != want || Binary(a, b) != want ||
-			Galloping(a, b) != want || Hash(h, a, b) != want ||
-			BitmapCount(bm, a, b) != want || MergeBranchless(a, b) != want ||
-			Adaptive(a, b) != want {
+			Galloping(a, b) != want || Hash(h, a, b) != want {
 			return false
 		}
 		n, _ := MergeOps(a, b)
@@ -119,8 +112,7 @@ func TestKernels16AgreeProperty(t *testing.T) {
 		b32 := sortedUnique(rb, 512)
 		want := refCount(a32, b32)
 		a, b := narrow(a32), narrow(b32)
-		return Merge16(a, b) == want && Merge16Branchless(a, b) == want &&
-			Galloping16(a, b) == want && Adaptive16(a, b) == want
+		return Merge16(a, b) == want && Galloping16(a, b) == want
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -279,7 +271,6 @@ func BenchmarkIntersectKernels(b *testing.B) {
 	a, bb := mk(128), mk(128)
 	short, long := mk(8), mk(4096)
 	h := NewHashSet(4096)
-	bm := NewBitmap(1 << 20)
 	b.Run("Merge/balanced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Merge(a, bb)
@@ -300,11 +291,6 @@ func BenchmarkIntersectKernels(b *testing.B) {
 			Merge(short, long)
 		}
 	})
-	b.Run("MergeBranchless/balanced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MergeBranchless(a, bb)
-		}
-	})
 	short16 := make([]uint16, len(short))
 	for i, x := range short {
 		short16[i] = uint16(x)
@@ -318,29 +304,14 @@ func BenchmarkIntersectKernels(b *testing.B) {
 			Merge16(short16, long16)
 		}
 	})
-	b.Run("Merge16Branchless/skewed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Merge16Branchless(short16, long16)
-		}
-	})
 	b.Run("Galloping16/skewed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Galloping16(short16, long16)
 		}
 	})
-	b.Run("Adaptive16/skewed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Adaptive16(short16, long16)
-		}
-	})
 	b.Run("Hash/balanced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Hash(h, a, bb)
-		}
-	})
-	b.Run("Bitmap/balanced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BitmapCount(bm, a, bb)
 		}
 	})
 }

@@ -151,7 +151,7 @@ func mergeJoin(m refSink, a []uint32, aBase uint64, aOff int64, b []uint32, bBas
 // paper's Fig 4/5 compare the counting kernels' locality.
 func InstrumentedForward(g *graph.Graph, cfg hwsim.MachineConfig) Events {
 	ra := reorder.DegreeOrder(g)
-	og := g.Relabel(ra).Orient()
+	og := g.Relabel(ra, nil).Orient()
 	m := newMachine(cfg)
 	triangles := runForward(og, m)
 	return m.events(cfg.Name+"/forward", triangles)
@@ -409,7 +409,7 @@ func (s localitySink) addOp()              {}
 // cachelines). A single replay yields the whole curve.
 func ForwardMRC(g *graph.Graph, capacities []int) []float64 {
 	ra := reorder.DegreeOrder(g)
-	og := g.Relabel(ra).Orient()
+	og := g.Relabel(ra, nil).Orient()
 	s := localitySink{p: locality.NewProfiler()}
 	runForward(og, s)
 	return s.p.MRC(capacities)

@@ -32,7 +32,7 @@ func TestDegreeOrder(t *testing.T) {
 		t.Fatal("not a permutation")
 	}
 	// Relabeled graph must have non-increasing degrees by new ID.
-	rg := g.Relabel(ra)
+	rg := g.Relabel(ra, nil)
 	for v := 1; v < rg.NumVertices(); v++ {
 		if rg.Degree(uint32(v)) > rg.Degree(uint32(v-1)) {
 			t.Fatalf("degree order violated at %d", v)
@@ -108,7 +108,7 @@ func TestLotusDefaultFraction(t *testing.T) {
 func TestLotusHighestDegreeFirst(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 5))
 	ra := Lotus(g, LotusOptions{HubCount: 64, FrontFraction: 0.10})
-	rg := g.Relabel(ra)
+	rg := g.Relabel(ra, nil)
 	// New vertex 0 must hold the max degree of the graph.
 	if rg.Degree(0) != g.MaxDegree() {
 		t.Fatalf("new vertex 0 degree %d != max degree %d", rg.Degree(0), g.MaxDegree())
@@ -170,7 +170,7 @@ func TestDegeneracyOrderBoundsForwardLists(t *testing.T) {
 		if !IsPermutation(ra) {
 			t.Fatal("not a permutation")
 		}
-		og := g.Relabel(ra).Orient()
+		og := g.Relabel(ra, nil).Orient()
 		for v := 0; v < og.NumVertices(); v++ {
 			if og.Degree(uint32(v)) > d {
 				t.Fatalf("forward list of %d has %d > degeneracy %d",
@@ -223,7 +223,7 @@ func TestRelabelKeepsTriangleStructure(t *testing.T) {
 		"degree": DegreeOrder(g),
 		"lotus":  Lotus(g, LotusOptions{HubCount: 16}),
 	} {
-		rg := g.Relabel(ra)
+		rg := g.Relabel(ra, nil)
 		if rg.NumEdges() != g.NumEdges() {
 			t.Fatalf("%s: |E| changed", name)
 		}

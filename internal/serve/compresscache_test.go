@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -255,7 +256,13 @@ func TestRehydrationReusesPooledArena(t *testing.T) {
 		}
 		rel()
 	}
+	// AllocsPerRun measures at GOMAXPROCS(1). sync.Pool keeps a
+	// private item per P, and an item left on a P that the drop to one
+	// P idles is out of Get's reach, so the pool is primed at
+	// GOMAXPROCS(1) as well.
+	prev := runtime.GOMAXPROCS(1)
 	cycle() // first rehydration populates the pool
+	runtime.GOMAXPROCS(prev)
 	base := met.Get("c.pool_hits")
 	misses := met.Get("c.pool_misses")
 	const runs = 20

@@ -1022,7 +1022,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	for _, p := range rep.Phases {
 		rr.Phases = append(rr.Phases, obs.PhaseNS{Name: p.Name, NS: p.Duration.Nanoseconds()})
 	}
-	if algo == "lotus" || algo == "lotus-recursive" || algo == "lotus-sharded" || algo == "degree-partition" {
+	if algo == "lotus" || algo == "lotus-recursive" || algo == "lotus-sharded" {
 		rr.Classes = &obs.Classes{HHH: rep.HHH, HHN: rep.HHN, HNN: rep.HNN, NNN: rep.NNN}
 	}
 	rr.Decision = decision

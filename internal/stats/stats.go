@@ -48,7 +48,7 @@ func ComputeTable1(g *graph.Graph, hubFraction float64) Table1 {
 	// Degree ordering puts hubs at IDs < hubCount, matching the §3.1
 	// setting in which the measurements are defined.
 	ra := reorder.DegreeOrder(g)
-	rg := g.Relabel(ra)
+	rg := g.Relabel(ra, nil)
 	og := rg.Orient()
 	isHub := func(v uint32) bool { return v < uint32(hubCount) }
 

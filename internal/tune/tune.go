@@ -20,12 +20,6 @@
 //     are short, so LOTUS pays relabeling + H2H for nothing;
 //     cover-edge counting intersects only the BFS-horizontal edges
 //     and skips structure building entirely.
-//
-// degree-partition is deliberately never routed to: the calibration
-// sweep (BENCH_PR10.json) measures it 1.3-4x behind the winner on
-// every corpus graph — its per-class blocks multiply the block-triple
-// enumeration without improving locality at in-memory scale. It stays
-// registered for explicit selection and -tune-algo ablation.
 package tune
 
 import (

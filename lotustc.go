@@ -80,10 +80,6 @@ const (
 	// no hub structures, strongest on sparse flat graphs (meshes,
 	// road networks) where LOTUS's relabeling buys nothing.
 	AlgoCoverEdge Algorithm = "cover-edge"
-	// AlgoDegreePartition is the degree-partitioned LOTUS variant
-	// (Kolountzakis-style classes on the shard grid); totals and
-	// classes match AlgoLotus exactly.
-	AlgoDegreePartition Algorithm = "degree-partition"
 	// AlgoAuto probes the graph's structure (degree skew, hub edge
 	// coverage, H2H density) and routes to the algorithm the shape
 	// favors; the choice lands in Result.Decision.
